@@ -30,7 +30,7 @@ cargo test --test proptest_stack -q record_flush_interleavings
 echo "==> bench smoke: smallop (self-asserts >=4x RPC reduction, <5% single-op regression)"
 cargo run --release -p cricket-bench --bin smallop -- --launches 1024 --single-iters 128
 
-echo "==> chaos: reactor equivalence (byte-identical reply traces vs pipelined, churn soak)"
+echo "==> chaos: reactor equivalence (byte-identical reply traces vs thread-per-connection, churn soak)"
 cargo test --test reactor -q
 
 echo "==> bench smoke: connscale (reactor >=5x sessions at equal throughput, reduced size)"

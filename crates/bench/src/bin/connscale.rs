@@ -8,15 +8,16 @@
 //! cargo run --release -p cricket-bench --bin connscale -- --smoke
 //! ```
 //!
-//! The baseline is [`ServeMode::PipelinedBounded`]: a fixed pool of
-//! `budget` serving threads (libtirpc-style), each owning one connection
-//! to completion — with two threads per served connection (reader +
-//! reply writer), it can hold at most `budget` sessions concurrently.
-//! The reactor serves *every* session from `workers + 3` threads (poller,
-//! writer, accept, worker shards), chosen so its whole thread budget fits
-//! inside the baseline's. The acceptance claim: **≥ 5× more concurrent
-//! sessions at equal aggregate throughput** — every reactor session makes
-//! progress, and ops/s stays within tolerance of the baseline.
+//! The baseline is [`ServeMode::Bounded`]: a fixed pool of `budget`
+//! serving threads (libtirpc-style), each running the serial
+//! request/reply loop on one connection to completion — one thread per
+//! served connection, so it can hold at most `budget` sessions
+//! concurrently. The reactor serves *every* session from `workers + 3`
+//! threads (poller, writer, accept, worker shards), chosen so its whole
+//! thread budget fits inside the baseline's. The acceptance claim:
+//! **≥ 5× more concurrent sessions at equal aggregate throughput** —
+//! every reactor session makes progress, and ops/s stays within
+//! tolerance of the baseline.
 
 use cricket_client::{CricketClient, Endpoint};
 use cricket_server::{CricketServer, ServeMode, ServerBuilder};
@@ -162,7 +163,7 @@ fn main() {
     let args = parse_args();
     // Reactor thread budget: poller + writer + accept + worker shards must
     // fit inside the baseline's serving pool alone (which additionally
-    // spends a reply-writer thread per served connection).
+    // spends an accept thread).
     let workers = args.budget.saturating_sub(3).max(1);
     println!(
         "Connection scaling — thread budget {}, baseline {} sessions vs reactor {} sessions\n",
@@ -170,13 +171,13 @@ fn main() {
     );
 
     let base = measure(
-        ServeMode::PipelinedBounded {
+        ServeMode::Bounded {
             max_conns: args.budget,
         },
         args.budget,
         args.drivers,
         args.secs,
-        args.budget * 2 + 1,
+        args.budget + 1,
     );
     let reac = measure(
         ServeMode::Reactor { workers },
@@ -189,7 +190,7 @@ fn main() {
     let session_ratio = reac.sessions as f64 / base.sessions as f64;
     let throughput_ratio = reac.ops_per_sec() / base.ops_per_sec().max(1e-9);
     println!(
-        "  baseline (pipelined pool of {}): {:>4} sessions, {:>9.0} ops/s ({} threads)",
+        "  baseline (serial pool of {}): {:>4} sessions, {:>9.0} ops/s ({} threads)",
         args.budget,
         base.sessions,
         base.ops_per_sec(),
@@ -238,7 +239,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \"thread_budget\": {},\n  \"drivers\": {},\n  \"secs\": {},\n  \
-         \"baseline\": {{\"mode\": \"pipelined_bounded\", \"sessions\": {}, \"server_threads\": {}, \
+         \"baseline\": {{\"mode\": \"bounded\", \"sessions\": {}, \"server_threads\": {}, \
          \"total_ops\": {}, \"ops_per_sec\": {:.0}, \"min_session_ops\": {}}},\n  \
          \"reactor\": {{\"mode\": \"reactor\", \"workers\": {workers}, \"sessions\": {}, \
          \"server_threads\": {}, \"total_ops\": {}, \"ops_per_sec\": {:.0}, \

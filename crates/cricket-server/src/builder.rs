@@ -1,7 +1,7 @@
 //! The single server entry point: [`ServerBuilder`].
 //!
-//! Every way of standing up a Cricket server — serial, pipelined, bounded
-//! pool, completion-driven reactor, with or without fleet-directory
+//! Every way of standing up a Cricket server — thread per connection,
+//! bounded pool, completion-driven reactor, with or without fleet-directory
 //! registration — goes through one builder:
 //!
 //! ```no_run
@@ -31,7 +31,7 @@ use oncrpc::portmap::client::PortmapClient;
 use oncrpc::{ReplayCache, RpcError, RpcResult, TcpTransport};
 use simnet::clock::SimClock;
 
-use crate::scheduler::SchedulerPolicy;
+use crate::scheduler::{SchedulerPolicy, SessionId};
 use crate::service::{CricketServer, ServerConfig};
 use crate::{cricket_classifier, session_rpc, ServeMode};
 
@@ -65,14 +65,15 @@ pub struct ServerBuilder {
 impl ServerBuilder {
     /// Start a builder listening on `addr` (resolved eagerly; resolution
     /// errors surface from [`Self::serve`]). Defaults: a fresh
-    /// [`CricketServer`] from [`ServerConfig::default`], pipelined serving,
-    /// FIFO scheduling, no directory registration.
+    /// [`CricketServer`] from [`ServerConfig::default`], one serving thread
+    /// per connection ([`ServeMode::Serial`]), FIFO scheduling, no
+    /// directory registration.
     pub fn new<A: std::net::ToSocketAddrs>(addr: A) -> Self {
         Self {
             addrs: addr.to_socket_addrs().map(|it| it.collect()),
             server: None,
             config: ServerConfig::default(),
-            mode: ServeMode::Pipelined,
+            mode: ServeMode::default(),
             reactor: None,
             policy: None,
             directory: None,
@@ -169,8 +170,7 @@ impl ServerBuilder {
         if let Some(policy) = self.policy {
             server.scheduler.set_policy(policy);
         }
-        let (inner, replay) =
-            serve_sessions(Arc::clone(&server), &addrs[..], self.mode, self.reactor)?;
+        let (inner, replay) = serve_sessions(Arc::clone(&server), &addrs, self.mode, self.reactor)?;
         let registration = match self.directory {
             Some(dir) => Some(Registration::start(&server, inner.addr(), dir)?),
             None => None,
@@ -314,37 +314,53 @@ impl ServeHandle {
         }
         self.inner.shutdown();
     }
+}
 
-    /// Split into the raw parts the deprecated pre-fleet entry points
-    /// returned. Drops directory state (deregistering if registered).
-    pub fn into_parts(self) -> (oncrpc::ServerHandle, Arc<ReplayCache>) {
-        let reg = self
-            .registration
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take();
-        if let Some(reg) = reg {
-            reg.finish(true);
-        }
-        let Self { inner, replay, .. } = self;
-        (inner, replay)
+/// Per-connection session bookkeeping shared by every serving thread: one
+/// `SessionId` per accepted connection, one shared replay cache.
+struct Sessions {
+    server: Arc<CricketServer>,
+    replay: Arc<ReplayCache>,
+    next: AtomicU32,
+}
+
+impl Sessions {
+    /// A fresh session and the `RpcServer` that serves it.
+    fn open(&self) -> (SessionId, oncrpc::RpcServer) {
+        let session = self.next.fetch_add(1, Ordering::Relaxed);
+        (session, session_rpc(&self.server, &self.replay, session))
+    }
+
+    /// Serve one connection to completion on the calling thread with the
+    /// blocking request/reply loop.
+    fn serve(&self, mut conn: TcpTransport) {
+        let (session, rpc) = self.open();
+        let _ = rpc.serve_connection(&mut conn);
+        // The client is gone (or reset): reclaim everything it still holds.
+        // Replay-cache entries are deliberately kept — a reconnecting
+        // client may still retransmit calls it sent on the dead connection.
+        self.server.release_session(session);
     }
 }
 
-/// The mode dispatch shared by [`ServerBuilder::serve`] and the deprecated
-/// `serve_tcp_sessions*` shims. All modes share the same session semantics —
-/// one `SessionId` per accepted connection, one shared replay cache,
-/// [`CricketServer::release_session`] exactly once when the connection ends —
-/// and differ only in how connections map onto threads.
-pub(crate) fn serve_sessions<A: std::net::ToSocketAddrs>(
+/// The mode dispatch behind [`ServerBuilder::serve`]. All modes share the
+/// same session semantics — one `SessionId` per accepted connection, one
+/// shared replay cache, [`CricketServer::release_session`] exactly once
+/// when the connection ends — and differ only in how connections map onto
+/// threads.
+fn serve_sessions(
     server: Arc<CricketServer>,
-    addr: A,
+    addrs: &[SocketAddr],
     mode: ServeMode,
     reactor: Option<oncrpc::ReactorConfig>,
 ) -> RpcResult<(oncrpc::ServerHandle, Arc<ReplayCache>)> {
     let replay = Arc::new(ReplayCache::default());
     server.attach_replay(&replay);
-    let shared = Arc::clone(&replay);
+    let sessions = Arc::new(Sessions {
+        server,
+        replay: Arc::clone(&replay),
+        next: AtomicU32::new(1),
+    });
     let handle = match mode {
         ServeMode::Reactor { workers } => {
             let mut cfg = reactor.unwrap_or_default();
@@ -352,80 +368,40 @@ pub(crate) fn serve_sessions<A: std::net::ToSocketAddrs>(
             if cfg.classify.is_none() {
                 cfg.classify = Some(cricket_classifier());
             }
-            let next_session = AtomicU32::new(1);
-            oncrpc::serve_tcp_reactor(addr, cfg, move |_conn| {
-                let session = next_session.fetch_add(1, Ordering::Relaxed);
-                let rpc = Arc::new(session_rpc(&server, &shared, session));
-                let server = Arc::clone(&server);
+            oncrpc::serve_tcp_reactor(addrs, cfg, move |_conn| {
+                let (session, rpc) = sessions.open();
+                let server = Arc::clone(&sessions.server);
                 oncrpc::ConnHandler {
-                    rpc,
+                    rpc: Arc::new(rpc),
                     // Runs after the session's last in-flight call completed
                     // and its last reply hit the completion ring. Replay
-                    // entries are deliberately kept — a reconnecting client
-                    // may still retransmit calls from the dead connection.
+                    // entries are deliberately kept, as in `Sessions::serve`.
                     on_close: Some(Box::new(move || {
                         server.release_session(session);
                     })),
                 }
             })?
         }
-        ServeMode::PipelinedBounded { max_conns } => {
+        ServeMode::Bounded { max_conns } => {
             // Fixed serving pool: accepted connections queue; `max_conns`
             // threads each serve one connection to completion at a time.
-            let (conn_tx, conn_rx) = crossbeam_channel::unbounded::<oncrpc::TcpTransport>();
+            let (conn_tx, conn_rx) = crossbeam_channel::unbounded::<TcpTransport>();
             let conn_rx = Arc::new(std::sync::Mutex::new(conn_rx));
-            let next_session = Arc::new(AtomicU32::new(1));
             for _ in 0..max_conns.max(1) {
                 let conn_rx = Arc::clone(&conn_rx);
-                let server = Arc::clone(&server);
-                let shared = Arc::clone(&shared);
-                let next_session = Arc::clone(&next_session);
+                let sessions = Arc::clone(&sessions);
                 std::thread::spawn(move || loop {
-                    let queued = {
-                        let rx = conn_rx.lock().unwrap_or_else(|e| e.into_inner());
-                        rx.recv()
-                    };
-                    let Ok(mut conn) = queued else { break };
-                    let session = next_session.fetch_add(1, Ordering::Relaxed);
-                    let rpc = session_rpc(&server, &shared, session);
-                    match conn.try_clone() {
-                        Ok(writer) => {
-                            let _ = rpc.serve_pipelined(&mut conn, writer);
-                        }
-                        Err(_) => {
-                            let _ = rpc.serve_connection(&mut conn);
-                        }
-                    }
-                    server.release_session(session);
+                    let queued = conn_rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
+                    let Ok(conn) = queued else { break };
+                    sessions.serve(conn);
                 });
             }
-            oncrpc::server::serve_tcp_with(addr, move |conn| {
+            oncrpc::server::serve_tcp_with(addrs, move |conn| {
                 let _ = conn_tx.send(conn);
             })?
         }
-        ServeMode::Serial | ServeMode::Pipelined => {
-            let next_session = AtomicU32::new(1);
-            oncrpc::server::serve_tcp_with(addr, move |mut conn| {
-                let session = next_session.fetch_add(1, Ordering::Relaxed);
-                let rpc = session_rpc(&server, &shared, session);
-                let writer = match mode {
-                    ServeMode::Pipelined => conn.try_clone().ok(),
-                    _ => None,
-                };
-                match writer {
-                    Some(writer) => {
-                        let _ = rpc.serve_pipelined(&mut conn, writer);
-                    }
-                    None => {
-                        let _ = rpc.serve_connection(&mut conn);
-                    }
-                }
-                // The client is gone (or reset): reclaim everything it
-                // still holds. Replay-cache entries are deliberately kept —
-                // a reconnecting client may still retransmit calls it sent
-                // on the dead connection.
-                server.release_session(session);
-            })?
+        ServeMode::Serial => {
+            oncrpc::server::serve_tcp_with(addrs, move |conn| sessions.serve(conn))?
         }
     };
     Ok((handle, replay))

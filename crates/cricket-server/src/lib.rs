@@ -97,20 +97,19 @@ fn make_session_rpc_inner(server: Arc<CricketServer>, session: SessionId) -> onc
     rpc
 }
 
-/// How [`serve_tcp_sessions_mode`] maps connections onto OS threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How [`ServerBuilder`] maps connections onto OS threads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ServeMode {
-    /// One thread per connection, classic serial request/reply loop.
+    /// One thread per connection running the blocking request/reply loop
+    /// ([`oncrpc::RpcServer::serve_connection`]), as libtirpc-based
+    /// Cricket does. The default.
+    #[default]
     Serial,
-    /// One thread per connection plus a per-connection reply-writer thread
-    /// ([`oncrpc::RpcServer::serve_pipelined`]). The historical default.
-    Pipelined,
-    /// A fixed pool of `max_conns` serving threads, each owning one
-    /// connection at a time (libtirpc-style); connections beyond the pool
-    /// wait unserved until a slot frees. This is the honest
-    /// thread-per-connection baseline at a fixed thread budget for the
-    /// connscale bench.
-    PipelinedBounded {
+    /// The same serial loop on a fixed pool of `max_conns` threads, each
+    /// owning one connection at a time; connections beyond the pool wait
+    /// unserved until a slot frees. This is the thread-per-connection
+    /// baseline at a fixed thread budget for the connscale bench.
+    Bounded {
         /// Serving threads — also the max concurrently served connections.
         max_conns: usize,
     },
@@ -205,25 +204,4 @@ pub(crate) fn session_rpc(
         }),
     );
     rpc
-}
-
-/// Serve `server` over TCP with hardened per-connection sessions through
-/// the *pipelined* reply path. Superseded by [`ServerBuilder`].
-#[deprecated(note = "use ServerBuilder::new(addr).server(server).serve()")]
-pub fn serve_tcp_sessions<A: std::net::ToSocketAddrs>(
-    server: Arc<CricketServer>,
-    addr: A,
-) -> oncrpc::RpcResult<(oncrpc::server::ServerHandle, Arc<oncrpc::ReplayCache>)> {
-    builder::serve_sessions(server, addr, ServeMode::Pipelined, None)
-}
-
-/// [`serve_tcp_sessions`] with an explicit [`ServeMode`]. Superseded by
-/// [`ServerBuilder`].
-#[deprecated(note = "use ServerBuilder::new(addr).server(server).mode(mode).serve()")]
-pub fn serve_tcp_sessions_mode<A: std::net::ToSocketAddrs>(
-    server: Arc<CricketServer>,
-    addr: A,
-    mode: ServeMode,
-) -> oncrpc::RpcResult<(oncrpc::server::ServerHandle, Arc<oncrpc::ReplayCache>)> {
-    builder::serve_sessions(server, addr, mode, None)
 }

@@ -45,7 +45,6 @@ pub mod sparse;
 pub mod stripe;
 pub mod telemetry;
 pub mod transport;
-pub mod udp;
 
 pub use auth::{AuthFlavor, OpaqueAuth};
 pub use batch::{BatchBuilder, BatchPolicy, BatchStats, FlushReason, BATCH_SKIPPED};
@@ -60,7 +59,7 @@ pub use portmap::{client::PortmapClient, LoadReport, Mapping, Portmap, ShardEntr
 pub use reactor::{serve_tcp_reactor, Classifier, ConnHandler, ProcClass, ReactorConfig};
 pub use record::{RecordAssembler, RecordReader, RecordWriter, DEFAULT_MAX_FRAGMENT};
 pub use replay::{ReplayCache, ReplayStats};
-pub use server::{Dispatch, RpcServer, ServerHandle, PIPELINE_DEPTH};
+pub use server::{Dispatch, RpcServer, ServerHandle};
 pub use stripe::{NullTimer, StripePool, StripeTimer, DEFAULT_STRIPE_LEN};
 pub use transport::{duplex_pair, MemTransport, TcpTransport, Transport};
 

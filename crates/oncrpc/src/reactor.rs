@@ -27,9 +27,9 @@
 //! the encoded reply onto the completion ring *before* decrementing
 //! `pending`, so when the reactor observes `pending == 0` every earlier
 //! reply already sits ahead of anything it enqueues. Net effect: per-
-//! connection reply order equals request order, exactly like the serial and
-//! pipelined paths, which is what the byte-identical equivalence tests
-//! assert.
+//! connection reply order equals request order, exactly like the
+//! thread-per-connection loop, which is what the byte-identical equivalence
+//! tests assert.
 //!
 //! **Backpressure.** Each connection has a bounded in-flight budget
 //! (`max_session_queue`). When it fills, the reactor stops reading that
@@ -355,7 +355,7 @@ where
     let local = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
     let stop_accept = Arc::clone(&stop);
-    let poller = Arc::new(Poller::new());
+    let poller = Arc::new(Poller::new()?);
     let poller_accept = Arc::clone(&poller);
     let (newconn_tx, newconn_rx) =
         crossbeam_channel::unbounded::<(usize, TcpStream, ConnHandler)>();

@@ -3,13 +3,11 @@
 //! clients, exactly how an external deployment would use `cricket-server`.
 
 use cricket_repro::prelude::*;
-use cricket_repro::server::{make_rpc_server, CricketServer, ServerConfig};
-use cricket_repro::simnet::SimClock;
+use cricket_repro::server::ServeHandle;
 
-fn spawn_server() -> oncrpc::ServerHandle {
-    let server = CricketServer::new(ServerConfig::default(), SimClock::new());
-    let rpc = make_rpc_server(server);
-    oncrpc::server::serve_tcp(rpc, "127.0.0.1:0").expect("bind")
+/// A default server, started the way the `cricket-server` binary starts it.
+fn spawn_server() -> ServeHandle {
+    ServerBuilder::new("127.0.0.1:0").serve().expect("bind")
 }
 
 #[test]

@@ -1,15 +1,10 @@
 //! Reactor-mode integration: the completion-driven server must be
-//! observationally identical to the pipelined thread-per-connection path —
+//! observationally identical to the thread-per-connection path —
 //! byte-identical reply streams under the full chaos seed matrix, including
 //! mid-batch reset replay — and must survive heavy connection churn without
 //! leaking scheduler sessions, replay-cache entries, or reply buffers.
 
-// These tests deliberately exercise the deprecated pre-builder entry
-// points: they are contractually one-line shims over `ServerBuilder`
-// and must keep working byte-identically.
-#![allow(deprecated)]
-
-use cricket_repro::oncrpc::server::ServerHandle;
+use cricket_repro::oncrpc::server::{serve_tcp, ServerHandle};
 use cricket_repro::oncrpc::{
     serve_tcp_reactor, telemetry, transport::Transport, ConnHandler, ReactorConfig, RpcResult,
 };
@@ -18,9 +13,7 @@ use cricket_repro::oncrpc::{
     SharedFaultPlan, TcpTransport,
 };
 use cricket_repro::prelude::*;
-use cricket_repro::server::{
-    cricket_classifier, make_rpc_server, serve_tcp_sessions_mode, CricketServer, ServeMode,
-};
+use cricket_repro::server::{cricket_classifier, make_rpc_server, CricketServer, ServeMode};
 use std::io::{Read, Write};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -80,33 +73,23 @@ fn spawn_shared_session_server(mode: ServeMode) -> (ServerHandle, Arc<ReplayCach
     let rpc = make_rpc_server(server);
     let replay = Arc::new(ReplayCache::default());
     rpc.set_replay_cache(Arc::clone(&replay));
-    let handle =
-        match mode {
-            ServeMode::Reactor { workers } => serve_tcp_reactor(
-                "127.0.0.1:0",
-                ReactorConfig {
-                    workers,
-                    classify: Some(cricket_classifier()),
-                    ..ReactorConfig::default()
-                },
-                move |_conn| ConnHandler {
-                    rpc: Arc::clone(&rpc),
-                    on_close: None,
-                },
-            )
-            .unwrap(),
-            _ => cricket_repro::oncrpc::server::serve_tcp_with("127.0.0.1:0", move |mut conn| {
-                match conn.try_clone() {
-                    Ok(writer) => {
-                        let _ = rpc.serve_pipelined(&mut conn, writer);
-                    }
-                    Err(_) => {
-                        let _ = rpc.serve_connection(&mut conn);
-                    }
-                }
-            })
-            .unwrap(),
-        };
+    let handle = match mode {
+        ServeMode::Reactor { workers } => serve_tcp_reactor(
+            "127.0.0.1:0",
+            ReactorConfig {
+                workers,
+                classify: Some(cricket_classifier()),
+                ..ReactorConfig::default()
+            },
+            move |_conn| ConnHandler {
+                rpc: Arc::clone(&rpc),
+                on_close: None,
+            },
+        )
+        .unwrap(),
+        // One thread per connection, each running `serve_connection`.
+        _ => serve_tcp(rpc, "127.0.0.1:0").unwrap(),
+    };
     (handle, replay)
 }
 
@@ -200,23 +183,23 @@ fn run_traced(mode: ServeMode, seed: u64) -> (String, Vec<u8>) {
 }
 
 /// Acceptance criterion: across the full CI seed matrix, the reactor path
-/// is byte-for-byte indistinguishable from the pipelined path — the same
+/// is byte-for-byte indistinguishable from the thread-per-connection path — the same
 /// fault schedule produces the same reply stream (same xids, same framing,
 /// same payloads, same retransmissions served from the replay cache).
 #[test]
-fn reactor_reply_traces_match_pipelined_across_seed_matrix() {
+fn reactor_reply_traces_match_thread_per_connection_across_seed_matrix() {
     for seed in CI_SEEDS {
         let outcome = std::panic::catch_unwind(|| {
-            let (trace_p, bytes_p) = run_traced(ServeMode::Pipelined, seed);
+            let (trace_s, bytes_s) = run_traced(ServeMode::Serial, seed);
             let (trace_r, bytes_r) = run_traced(REACTOR, seed);
             assert_eq!(
-                trace_p, trace_r,
+                trace_s, trace_r,
                 "seed {seed}: fault schedules diverged — client behaved differently"
             );
-            assert!(!bytes_p.is_empty(), "seed {seed}: nothing recorded");
+            assert!(!bytes_s.is_empty(), "seed {seed}: nothing recorded");
             assert_eq!(
-                bytes_p, bytes_r,
-                "seed {seed}: reply byte streams diverged between pipelined and reactor"
+                bytes_s, bytes_r,
+                "seed {seed}: reply byte streams diverged between thread-per-connection and reactor"
             );
         });
         if let Err(cause) = outcome {
@@ -311,19 +294,19 @@ fn run_batch_reset(mode: ServeMode) -> (String, Vec<u8>) {
 }
 
 /// The mid-batch fault scenarios hold in reactor mode with reply streams
-/// byte-identical to the pipelined path — batches park on worker shards,
+/// byte-identical to the thread-per-connection path — batches park on worker shards,
 /// yet replay, reconnect, and status-vector semantics are unchanged.
 #[test]
-fn reactor_mid_batch_drop_and_reset_match_pipelined() {
-    let (trace_p, bytes_p) = run_batch_drop(ServeMode::Pipelined);
+fn reactor_mid_batch_drop_and_reset_match_thread_per_connection() {
+    let (trace_s, bytes_s) = run_batch_drop(ServeMode::Serial);
     let (trace_r, bytes_r) = run_batch_drop(REACTOR);
-    assert_eq!(trace_p, trace_r, "batch-drop fault schedules diverged");
-    assert_eq!(bytes_p, bytes_r, "batch-drop reply streams diverged");
+    assert_eq!(trace_s, trace_r, "batch-drop fault schedules diverged");
+    assert_eq!(bytes_s, bytes_r, "batch-drop reply streams diverged");
 
-    let (trace_p, bytes_p) = run_batch_reset(ServeMode::Pipelined);
+    let (trace_s, bytes_s) = run_batch_reset(ServeMode::Serial);
     let (trace_r, bytes_r) = run_batch_reset(REACTOR);
-    assert_eq!(trace_p, trace_r, "batch-reset fault schedules diverged");
-    assert_eq!(bytes_p, bytes_r, "batch-reset reply streams diverged");
+    assert_eq!(trace_s, trace_r, "batch-reset fault schedules diverged");
+    assert_eq!(bytes_s, bytes_r, "batch-reset reply streams diverged");
 }
 
 /// Connection-churn soak: 500 sessions opened and closed through the
@@ -338,8 +321,12 @@ fn reactor_churn_soak_releases_all_sessions() {
     const TOTAL: usize = THREADS * CONNS_PER_THREAD;
 
     let server = CricketServer::a100();
-    let (handle, replay) =
-        serve_tcp_sessions_mode(Arc::clone(&server), "127.0.0.1:0", REACTOR).unwrap();
+    let handle = ServerBuilder::new("127.0.0.1:0")
+        .server(Arc::clone(&server))
+        .mode(REACTOR)
+        .serve()
+        .unwrap();
+    let replay = Arc::clone(handle.replay());
     let addr = handle.addr().to_string();
     let bufs0 = telemetry::reactor_snapshot();
 
